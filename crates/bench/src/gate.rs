@@ -21,8 +21,8 @@
 
 use std::fmt;
 
-use crate::json::{self, JsonValue};
 use crate::perf::{BenchArtifact, SCHEMA_VERSION};
+use sqm::obs::json::{self, JsonValue};
 
 /// Per-metric relative thresholds (current/baseline ratio above which a
 /// wall-clock metric fails).

@@ -7,12 +7,12 @@
 //!   committed `bench/baseline.json`, plus its own self-test.
 //! * [`history`] — the append-only `history.jsonl` median trend log and
 //!   its sparkline rendering for the HTML report.
-//! * [`json`] — the minimal JSON reader the gate needs (the offline serde
-//!   stand-in only writes).
+//!
+//! The gate reads JSON with `sqm::obs::json` (the offline serde stand-in
+//! only writes).
 
 pub mod gate;
 pub mod history;
-pub mod json;
 pub mod perf;
 
 pub use gate::{compare, gate_artifacts, Baseline, GateConfig, GateReport, Verdict};

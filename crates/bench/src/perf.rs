@@ -44,7 +44,7 @@ use sqm::vfl::{
     ProfConfig, VflConfig,
 };
 
-use crate::json::JsonValue;
+use sqm::obs::json::JsonValue;
 
 /// Version of the `BENCH_*.json` schema; bump on any field change so the
 /// gate can refuse to diff artifacts it does not understand.
@@ -699,7 +699,7 @@ pub fn run_all(tier: Tier) -> Vec<BenchArtifact> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use sqm::obs::json;
 
     #[test]
     fn measure_summarizes_and_keeps_costs() {

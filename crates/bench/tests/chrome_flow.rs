@@ -13,9 +13,9 @@
 
 use std::time::Duration;
 
+use sqm::obs::json::{self, JsonValue};
 use sqm::obs::trace::{MsgStamp, PartyRecorder, Trace};
 use sqm::obs::write_chrome_trace;
-use sqm_bench::json::{self, JsonValue};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

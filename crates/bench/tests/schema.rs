@@ -7,7 +7,7 @@
 //! one serializer's formatting.
 
 use serde::Serialize;
-use sqm_bench::json::{self, JsonValue};
+use sqm::obs::json::{self, JsonValue};
 use sqm_bench::perf::{measure, BenchArtifact, RunCost, Tier, SCHEMA_VERSION};
 use sqm_bench::{compare, GateConfig};
 

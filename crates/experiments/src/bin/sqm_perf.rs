@@ -186,6 +186,8 @@ fn write_covariance_report(opts: &PerfOptions) -> std::io::Result<PathBuf> {
         &trace,
         Some(&ledger.report()),
         Some(&snapshot),
+        None,
+        None,
     );
     // With two or more history points on record, embed the per-entry
     // median-trend sparklines (see `sqm_bench::history`).

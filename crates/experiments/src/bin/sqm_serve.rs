@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use sqm::obs::span::SpanConfig;
 use sqm::obs::trace::Trace;
-use sqm::obs::{html_report_with_slo, metrics};
+use sqm::obs::{html_report, metrics};
 use sqm::serve::{run_load, LoadSpec, ServeHttp, Server, ServerConfig};
 use sqm_bench::gate::{self, Baseline, GateConfig};
 use sqm_bench::perf::{run_serve, Tier};
@@ -190,12 +190,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let html = html_report_with_slo(
+    let html = html_report(
         "sqm-serve load run",
         &Trace::from_parties(Duration::ZERO, Vec::new()),
         None,
         Some(&metrics::snapshot()),
         Some(&collector.snapshot()),
+        None,
     );
     let html_path = opts.out_dir.join("serve_report.html");
     match sqm::obs::atomic_write_str(&html_path, &html) {

@@ -349,7 +349,7 @@ pub mod obsout {
             let snapshot = metrics::is_enabled().then(metrics::snapshot);
             atomic_write_str(
                 &html_path,
-                &html_report(name, trace, None, snapshot.as_ref()),
+                &html_report(name, trace, None, snapshot.as_ref(), None, None),
             )?;
             written.push(html_path);
             println!("[trace {name}]");

@@ -16,21 +16,14 @@
 //! self-contained. Both produce identical opened values, which the tests
 //! cross-check.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_field::PrimeField;
 use sqm_net::transport::{build_mesh, Transport};
-use sqm_net::{TraceHeader, TransportError};
-use sqm_obs::live;
-use sqm_obs::metrics;
-use sqm_obs::prof;
-use sqm_obs::trace::{MsgStamp, PartyRecorder, Trace};
+use sqm_net::TransportError;
 
-use crate::engine::{install_quiet_abort_hook, make_recorder, select_error, MpcConfig, PartyAbort};
-use crate::stats::{merge, PartyStats, RunStats};
+use crate::engine::{MpcConfig, MpcRun, RunOnMesh};
+use crate::runtime::{self, PartyRuntime};
 
 /// One party's additive shares of a Beaver triple `(a, b, c = a*b)`.
 #[derive(Copy, Clone, Debug)]
@@ -38,15 +31,6 @@ pub struct AdditiveTriple<F: PrimeField> {
     a: F,
     b: F,
     c: F,
-}
-
-/// The result of an additive-backend run.
-#[derive(Debug)]
-pub struct AdditiveRun<T> {
-    pub outputs: Vec<T>,
-    pub stats: RunStats,
-    /// Structured per-party trace (only when [`MpcConfig::trace`] is set).
-    pub trace: Option<Trace>,
 }
 
 /// The additive-sharing engine.
@@ -63,7 +47,7 @@ impl AdditiveEngine {
     }
 
     /// Run an SPMD program at every party.
-    pub fn run<F, T, P>(&self, program: P) -> AdditiveRun<T>
+    pub fn run<F, T, P>(&self, program: P) -> MpcRun<T>
     where
         F: PrimeField,
         T: Send,
@@ -75,104 +59,48 @@ impl AdditiveEngine {
 
     /// Like [`AdditiveEngine::run`], but transport failures surface as the
     /// typed [`TransportError`] instead of panicking.
-    pub fn try_run<F, T, P>(&self, program: P) -> Result<AdditiveRun<T>, TransportError>
+    pub fn try_run<F, T, P>(&self, program: P) -> Result<MpcRun<T>, TransportError>
     where
         F: PrimeField,
         T: Send,
         P: Fn(&mut AdditiveCtx<F>) -> T + Sync,
     {
-        let n = self.config.n_parties;
-        install_quiet_abort_hook();
-        if let Some(pc) = &self.config.prof {
-            prof::install(pc, self.config.seed);
-        }
-        let endpoints = build_mesh::<F>(n, &self.config.backend, self.config.faults.as_ref())?;
-        let program = &program;
-        // Same live-telemetry bracketing as the BGW engine: the guard's
-        // Drop covers party-thread panics unwinding past the join.
-        let live_run = self
-            .config
-            .live
-            .as_ref()
-            .map(|lc| live::begin_run(lc, n, self.config.seed));
-        type PartyResult<T> = (T, PartyStats, Option<sqm_obs::trace::PartyTrace>);
-        let frame_mode = self.config.batching.frame_mode();
-        let results: Vec<Result<PartyResult<T>, TransportError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .map(|mut endpoint| {
-                    endpoint.set_frame_mode(frame_mode);
-                    let id = endpoint.id();
-                    let config = self.config.clone();
-                    s.spawn(move || {
-                        let mut ctx = AdditiveCtx {
-                            id,
-                            n,
-                            rng: StdRng::seed_from_u64(
-                                config.seed ^ (0xADD1_7155_u64.wrapping_mul(id as u64 + 1)),
-                            ),
-                            dealer_rng: StdRng::seed_from_u64(config.seed ^ 0x00DE_A1E4),
-                            endpoint,
-                            stats: PartyStats::default(),
-                            recorder: make_recorder(&config, id),
-                            phase: "default".to_string(),
-                            phase_started: Instant::now(),
-                            run_id: config.seed,
-                            lamport: 0,
-                            link_seq: vec![0; n],
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
-                            Ok(out) => {
-                                ctx.flush_phase();
-                                Ok((out, ctx.stats, ctx.recorder.map(PartyRecorder::finish)))
-                            }
-                            Err(payload) => match payload.downcast::<PartyAbort>() {
-                                Ok(abort) => Err(abort.0),
-                                Err(other) => resume_unwind(other),
-                            },
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("party thread panicked"))
-                .collect()
-        });
-        let mut outputs = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
-        let mut party_traces = Vec::with_capacity(n);
-        let mut errors = Vec::new();
-        for result in results {
-            match result {
-                Ok((out, ps, pt)) => {
-                    outputs.push(out);
-                    stats.push(ps);
-                    party_traces.extend(pt);
-                }
-                Err(e) => errors.push(e),
+        let endpoints = build_mesh::<F>(
+            self.config.n_parties,
+            &self.config.backend,
+            self.config.faults.as_ref(),
+        )?;
+        self.try_run_on(endpoints, program).map(|(run, _)| run)
+    }
+
+    /// [`AdditiveEngine::try_run`] over a caller-supplied mesh (see
+    /// [`crate::MpcEngine::try_run_on`]).
+    pub(crate) fn try_run_on<F, T, P>(
+        &self,
+        endpoints: Vec<Box<dyn Transport<F>>>,
+        program: P,
+    ) -> Result<RunOnMesh<F, T>, TransportError>
+    where
+        F: PrimeField,
+        T: Send,
+        P: Fn(&mut AdditiveCtx<F>) -> T + Sync,
+    {
+        let config = &self.config;
+        runtime::run(config, "additive", endpoints, || {
+            move |rt: PartyRuntime<F>| {
+                let id = rt.id;
+                let mut ctx = AdditiveCtx {
+                    id,
+                    n: config.n_parties,
+                    rng: StdRng::seed_from_u64(
+                        config.seed ^ (0xADD1_7155_u64.wrapping_mul(id as u64 + 1)),
+                    ),
+                    dealer_rng: StdRng::seed_from_u64(config.seed ^ 0x00DE_A1E4),
+                    rt,
+                };
+                let out = program(&mut ctx);
+                (out, ctx.rt)
             }
-        }
-        if !errors.is_empty() {
-            let err = select_error(errors);
-            if let Some(guard) = live_run {
-                guard.fail(live::RunError::new(
-                    err.kind(),
-                    Some(err.party()),
-                    err.round(),
-                ));
-            }
-            return Err(err);
-        }
-        if let Some(guard) = live_run {
-            guard.finish();
-        }
-        let trace = (party_traces.len() == n)
-            .then(|| Trace::from_parties(self.config.latency, party_traces));
-        Ok(AdditiveRun {
-            outputs,
-            stats: merge(stats, self.config.latency),
-            trace,
         })
     }
 }
@@ -187,170 +115,13 @@ pub struct AdditiveCtx<F: PrimeField> {
     /// triple shares. (Semi-honest offline/online model; a real deployment
     /// replaces this with an OT- or HE-based offline phase.)
     dealer_rng: StdRng,
-    endpoint: Box<dyn Transport<F>>,
-    stats: PartyStats,
-    recorder: Option<PartyRecorder>,
-    phase: String,
-    phase_started: Instant,
-    /// Causal stamping state (active only when tracing): run identifier
-    /// (the engine seed), the party's Lamport clock, and one sequence
-    /// counter per directed outgoing link.
-    run_id: u64,
-    lamport: u64,
-    link_seq: Vec<u64>,
+    rt: PartyRuntime<F>,
 }
 
 impl<F: PrimeField> AdditiveCtx<F> {
     /// Switch accounting phase.
     pub fn set_phase(&mut self, name: &str) {
-        self.flush_phase();
-        self.phase = name.to_string();
-        if let Some(rec) = &mut self.recorder {
-            rec.set_phase(name);
-        }
-    }
-
-    fn flush_phase(&mut self) {
-        // One measurement for both accounting and trace (see the BGW engine).
-        let elapsed = self.phase_started.elapsed();
-        self.stats.record_wall(&self.phase, elapsed);
-        if let Some(rec) = &mut self.recorder {
-            rec.flush_phase(elapsed);
-        }
-        self.phase_started = Instant::now();
-    }
-
-    fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Vec<Vec<F>> {
-        let round_started = metrics::is_enabled().then(Instant::now);
-        // Live telemetry (collector installed) — same out-of-band publish
-        // path as the BGW engine; accounting is untouched either way.
-        let live_round = live::is_active().then(|| (Instant::now(), self.endpoint.round()));
-        // Cost profiling — same out-of-band recording as the BGW engine,
-        // under the `additive;` path prefix.
-        let prof_round = prof::is_active().then(|| (Instant::now(), self.endpoint.round()));
-        // Causal stamping (traced runs only) — same protocol as the BGW
-        // engine: every real outgoing payload carries this party's Lamport
-        // clock and a per-link sequence number, out-of-band of the byte
-        // accounting.
-        let stamping = self.recorder.is_some().then(|| {
-            let lamport_send = self.lamport + 1;
-            let round = self.endpoint.round();
-            let mut sends = Vec::new();
-            let headers: Vec<Option<TraceHeader>> = outgoing
-                .iter()
-                .enumerate()
-                .map(|(j, payload)| {
-                    if j == self.id || payload.is_empty() {
-                        return None;
-                    }
-                    let link_seq = self.link_seq[j];
-                    self.link_seq[j] += 1;
-                    sends.push(MsgStamp {
-                        peer: j,
-                        link_seq,
-                        lamport: lamport_send,
-                        round,
-                    });
-                    Some(TraceHeader {
-                        run_id: self.run_id,
-                        party: self.id as u32,
-                        round,
-                        link_seq,
-                        lamport: lamport_send,
-                    })
-                })
-                .collect();
-            (headers, sends, lamport_send, self.phase_started.elapsed())
-        });
-        let result = match &stamping {
-            Some((headers, ..)) => self
-                .endpoint
-                .exchange_stamped(outgoing, Some(headers.clone())),
-            None => self.endpoint.exchange(outgoing),
-        };
-        let outcome = match result {
-            Ok(outcome) => outcome,
-            Err(e) => std::panic::panic_any(PartyAbort(e)),
-        };
-        let (messages, bytes) = (outcome.messages, outcome.bytes);
-        self.stats
-            .record_round(&self.phase, messages, bytes, outcome.elems);
-        if let Some((t0, round)) = prof_round {
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            prof::record_round(
-                &format!("additive;{};exchange", self.phase),
-                messages,
-                bytes,
-                wall_ns,
-            );
-            prof::record_round(
-                &format!("additive;{};round{round:04}", self.phase),
-                messages,
-                bytes,
-                wall_ns,
-            );
-        }
-        let events = self.endpoint.drain_events();
-        if let Some((t0, round)) = live_round {
-            for e in &events {
-                if let Some(ev) = live::LiveEvent::fault(e.party, e.round, e.peer, &e.kind, e.value)
-                {
-                    live::publish(ev);
-                }
-            }
-            live::publish(live::LiveEvent::round(
-                self.id,
-                round,
-                &self.phase,
-                t0.elapsed(),
-                messages,
-                bytes,
-            ));
-        }
-        if let Some((_, sends, lamport_send, wall_send)) = stamping {
-            let wall_recv = self.phase_started.elapsed();
-            let recvs: Vec<MsgStamp> = outcome
-                .headers
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != self.id)
-                .filter_map(|(i, h)| {
-                    h.map(|h| MsgStamp {
-                        peer: i,
-                        link_seq: h.link_seq,
-                        lamport: h.lamport,
-                        round: h.round,
-                    })
-                })
-                .collect();
-            let max_recv = recvs.iter().map(|s| s.lamport).max().unwrap_or(0);
-            let lamport_recv = lamport_send.max(max_recv) + 1;
-            self.lamport = lamport_recv;
-            if let Some(rec) = &mut self.recorder {
-                rec.record_causal_round(
-                    wall_send,
-                    wall_recv,
-                    lamport_send,
-                    lamport_recv,
-                    sends,
-                    recvs,
-                );
-            }
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.record_round(messages, bytes);
-            for event in events {
-                rec.record_net_event(event);
-            }
-        }
-        if let Some(t0) = round_started {
-            metrics::histogram_record("mpc.round_wall_ns", t0.elapsed().as_nanos() as f64);
-            metrics::counter_add("mpc.party_rounds", 1);
-            metrics::counter_add("mpc.messages", messages);
-            metrics::counter_add("mpc.bytes", bytes);
-            metrics::histogram_record("mpc.messages_per_round", messages as f64);
-        }
-        outcome.incoming
+        self.rt.set_phase(name);
     }
 
     /// Share a vector of secrets owned by `owner`: the owner sends uniform
@@ -376,10 +147,10 @@ impl<F: PrimeField> AdditiveCtx<F> {
             }
             outgoing = per_party;
         }
-        let incoming = self.exchange(outgoing);
-        let mine = incoming[owner].clone();
-        assert_eq!(mine.len(), len, "owner sent wrong share count");
-        mine
+        let mut incoming = self
+            .rt
+            .exchange(outgoing, |i| if i == owner { len } else { 0 });
+        incoming.swap_remove(owner)
     }
 
     /// `[a] + [b]`, local.
@@ -472,11 +243,10 @@ impl<F: PrimeField> AdditiveCtx<F> {
     /// Open shared values to all parties: everyone broadcasts its share and
     /// sums. One round.
     pub fn open(&mut self, shares: &[F]) -> Vec<F> {
-        let incoming = self.exchange(vec![shares.to_vec(); self.n]);
         let len = shares.len();
+        let incoming = self.rt.exchange(vec![shares.to_vec(); self.n], |_| len);
         let mut out = vec![F::ZERO; len];
         for inc in &incoming {
-            assert_eq!(inc.len(), len, "open: wrong share count");
             for (o, &s) in out.iter_mut().zip(inc) {
                 *o += s;
             }
@@ -493,6 +263,12 @@ mod tests {
 
     fn engine(n: usize) -> AdditiveEngine {
         AdditiveEngine::new(MpcConfig::semi_honest(n).with_latency(Duration::ZERO))
+    }
+
+    /// Share `owner`'s input `values` (one round).
+    fn input(ctx: &mut AdditiveCtx<M61>, owner: usize, values: &[M61]) -> Vec<M61> {
+        let mine = (ctx.id == owner).then_some(values);
+        ctx.share_input(owner, mine, values.len())
     }
 
     #[test]
@@ -512,16 +288,8 @@ mod tests {
     #[test]
     fn linear_ops() {
         let run = engine(3).run::<M61, _, _>(|ctx| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(10)]).as_deref(),
-                1,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1).then(|| vec![M61::from_u64(4)]).as_deref(),
-                1,
-            );
+            let a = input(ctx, 0, &[M61::from_u64(10)]);
+            let b = input(ctx, 1, &[M61::from_u64(4)]);
             let s = ctx.add(&a, &b);
             let d = ctx.scale_public(&s, M61::from_u64(3));
             let e = ctx.add_public(&d, M61::from_u64(8));
@@ -536,20 +304,8 @@ mod tests {
     fn beaver_multiplication() {
         for n in [2usize, 3, 5] {
             let run = engine(n).run::<M61, _, _>(|ctx| {
-                let x = ctx.share_input(
-                    0,
-                    (ctx.id == 0)
-                        .then(|| vec![M61::from_i128(-6), M61::from_u64(9)])
-                        .as_deref(),
-                    2,
-                );
-                let y = ctx.share_input(
-                    1,
-                    (ctx.id == 1)
-                        .then(|| vec![M61::from_u64(7), M61::from_i128(-3)])
-                        .as_deref(),
-                    2,
-                );
+                let x = input(ctx, 0, &[M61::from_i128(-6), M61::from_u64(9)]);
+                let y = input(ctx, 1, &[M61::from_u64(7), M61::from_i128(-3)]);
                 let triples = ctx.dealer_triples(2);
                 let z = ctx.mul_beaver(&x, &y, &triples);
                 ctx.open(&z)
@@ -643,11 +399,7 @@ mod tests {
             .with_trace(true);
         let run = AdditiveEngine::new(cfg).run::<M61, _, _>(|ctx| {
             ctx.set_phase("input");
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(2); 4]).as_deref(),
-                4,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(2); 4]);
             let triples = ctx.dealer_triples(4);
             ctx.set_phase("online");
             let x2 = x.clone();
@@ -669,11 +421,7 @@ mod tests {
             .with_trace(true);
         let run = AdditiveEngine::new(cfg).run::<M61, _, _>(|ctx| {
             ctx.set_phase("input");
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(2); 4]).as_deref(),
-                4,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(2); 4]);
             let triples = ctx.dealer_triples(4);
             ctx.set_phase("online");
             let x2 = x.clone();
@@ -691,11 +439,7 @@ mod tests {
     #[test]
     fn beaver_online_round_count() {
         let run = engine(4).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(2); 8]).as_deref(),
-                8,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(2); 8]);
             let triples = ctx.dealer_triples(8);
             ctx.set_phase("online");
             let x2 = x.clone();

@@ -1,8 +1,8 @@
-//! The BGW party runtime.
+//! The BGW engine.
 //!
-//! [`MpcEngine::run`] spawns one thread per party, each executing the same
-//! SPMD protocol program against its own [`PartyCtx`]. The context exposes
-//! the BGW operations SQM needs:
+//! [`MpcEngine::run`] runs the same SPMD protocol program at every party
+//! (on the shared `runtime` module) against its own [`PartyCtx`]. The
+//! context exposes the BGW operations SQM needs:
 //!
 //! * linear operations on shares (local, free);
 //! * batched multiplication and inner products with GRR degree reduction
@@ -14,23 +14,22 @@
 //! ordered party pair regardless of how many field elements it carries,
 //! matching the paper's synchronous cost model.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_field::PrimeField;
 use sqm_net::fault::FaultSpec;
 use sqm_net::transport::{build_mesh, FrameMode, NetBackend, Transport};
-use sqm_net::{TraceHeader, TransportError};
-use sqm_obs::live::{self, LiveConfig};
+use sqm_net::TransportError;
+use sqm_obs::live::LiveConfig;
 use sqm_obs::metrics;
 use sqm_obs::prof::{self, ProfConfig};
-use sqm_obs::trace::{MsgStamp, PartyRecorder, Trace};
+use sqm_obs::trace::Trace;
 
+use crate::runtime::{self, PartyRuntime};
 use crate::shamir::{lagrange_at_zero, share_secret, share_secrets_batch};
-use crate::stats::{merge, PartyStats, RunStats};
+use crate::stats::RunStats;
 
 /// Tuning knobs for the round-batched execution path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,11 +123,6 @@ pub struct MpcConfig {
     /// records on the simulated clock). Off by default; the accounting in
     /// [`RunStats`] is always on.
     pub trace: bool,
-    /// Per-party bound on trace detail records (spans + rounds + net
-    /// events). `None` uses [`sqm_obs::trace::DEFAULT_EVENT_CAP`]. Dropped
-    /// detail is counted (`PartyTrace::dropped_events`, metric
-    /// `obs.trace.dropped_events`); trace summaries stay exact regardless.
-    pub trace_event_cap: Option<usize>,
     /// Transport backend the parties communicate over. The protocol is
     /// backend-agnostic; message/byte counts are identical across backends.
     pub backend: NetBackend,
@@ -177,7 +171,6 @@ impl MpcConfig {
             latency: Duration::from_millis(100),
             seed: 0x5153_4D00, // "SQM"
             trace: false,
-            trace_event_cap: None,
             backend: NetBackend::InProcess,
             faults: None,
             live: None,
@@ -201,13 +194,6 @@ impl MpcConfig {
     /// Turn structured trace recording on or off.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Bound the trace detail kept per party (see
-    /// [`MpcConfig::trace_event_cap`]).
-    pub fn with_trace_event_cap(mut self, cap: usize) -> Self {
-        self.trace_event_cap = Some(cap);
         self
     }
 
@@ -275,60 +261,6 @@ pub type RunOnMesh<F, T> = (MpcRun<T>, Vec<Box<dyn Transport<F>>>);
 /// The BGW engine. Construct once, run protocol programs.
 pub struct MpcEngine {
     config: MpcConfig,
-}
-
-/// Panic payload a party thread aborts with when its transport fails.
-/// [`MpcEngine::try_run`] catches it and converts it back into the typed
-/// [`TransportError`]; every other panic payload is propagated unchanged.
-pub(crate) struct PartyAbort(pub(crate) TransportError);
-
-/// Install (once, process-wide) a panic hook that stays silent for
-/// [`PartyAbort`] unwinds — they are controlled error returns, not bugs —
-/// and delegates every other panic to the previously installed hook.
-pub(crate) fn install_quiet_abort_hook() {
-    static INSTALLED: OnceLock<()> = OnceLock::new();
-    INSTALLED.get_or_init(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<PartyAbort>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Rank errors for reporting when several parties fail at once: the root
-/// cause (a crash, an exhausted retransmit budget) outranks the secondary
-/// disconnects the survivors observe.
-pub(crate) fn error_priority(e: &TransportError) -> u8 {
-    match e {
-        TransportError::Crashed { .. } => 6,
-        TransportError::RetransmitExhausted { .. } => 5,
-        TransportError::Wire { .. } => 4,
-        TransportError::ConnectFailed { .. } => 3,
-        TransportError::Timeout { .. } => 2,
-        TransportError::Io { .. } => 1,
-        TransportError::Disconnected { .. } => 0,
-    }
-}
-
-/// Pick the most diagnostic error out of the per-party results.
-pub(crate) fn select_error(errors: Vec<TransportError>) -> TransportError {
-    errors
-        .into_iter()
-        .max_by_key(error_priority)
-        .expect("select_error called with no errors")
-}
-
-/// Build one party's trace recorder per the config (trace flag + event cap).
-pub(crate) fn make_recorder(config: &MpcConfig, id: usize) -> Option<PartyRecorder> {
-    config.trace.then(|| {
-        let rec = PartyRecorder::new(id, config.latency);
-        match config.trace_event_cap {
-            Some(cap) => rec.with_event_cap(cap),
-            None => rec,
-        }
-    })
 }
 
 impl MpcEngine {
@@ -409,157 +341,32 @@ impl MpcEngine {
         T: Send,
         P: Fn(&mut PartyCtx<F>) -> T + Sync,
     {
-        let n = self.config.n_parties;
-        assert_eq!(
-            endpoints.len(),
-            n,
-            "endpoint mesh size must match config.n_parties"
-        );
-        install_quiet_abort_hook();
-        if let Some(pc) = &self.config.prof {
-            prof::install(pc, self.config.seed);
-        }
-        let lagrange_all = lagrange_at_zero::<F>(&(0..n).collect::<Vec<_>>());
-        if prof::is_active() {
-            // One field inversion per Lagrange denominator.
-            prof::record("engine;setup;field_inv", 1, n as u64);
-        }
-        let program = &program;
-
-        // Bracket the run for live telemetry. The guard's Drop path covers
-        // a party-thread panic unwinding past the join below: the run is
-        // then recorded as failed and the flight recorder still dumps.
-        let live_run = self
-            .config
-            .live
-            .as_ref()
-            .map(|lc| live::begin_run(lc, n, self.config.seed));
-
-        type PartyResult<T, E> = (T, PartyStats, Option<sqm_obs::trace::PartyTrace>, E);
-        type Endpoint<F> = Box<dyn Transport<F>>;
-        let frame_mode = self.config.batching.frame_mode();
-        let results: Vec<Result<PartyResult<T, Endpoint<F>>, TransportError>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = endpoints
-                    .into_iter()
-                    .map(|mut endpoint| {
-                        endpoint.set_frame_mode(frame_mode);
-                        let id = endpoint.id();
-                        let config = self.config.clone();
-                        let lagrange = lagrange_all.clone();
-                        s.spawn(move || {
-                            let mut ctx = PartyCtx {
-                                id,
-                                n,
-                                t: config.threshold,
-                                rng: StdRng::seed_from_u64(
-                                    config.seed
-                                        ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1)),
-                                ),
-                                endpoint,
-                                stats: PartyStats::default(),
-                                recorder: make_recorder(&config, id),
-                                lagrange_all: lagrange,
-                                batching: config.batching,
-                                phase: "default".to_string(),
-                                phase_started: Instant::now(),
-                                run_id: config.seed,
-                                lamport: 0,
-                                link_seq: vec![0; n],
-                            };
-                            // A transport failure aborts the program mid-round via
-                            // a PartyAbort unwind; catch it here and surface the
-                            // typed error. Returning (rather than unwinding past
-                            // the closure) drops `ctx` and with it this party's
-                            // endpoint, which unblocks any peer waiting on it.
-                            match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
-                                Ok(out) => {
-                                    ctx.flush_phase();
-                                    let PartyCtx {
-                                        endpoint,
-                                        stats,
-                                        recorder,
-                                        ..
-                                    } = ctx;
-                                    Ok((out, stats, recorder.map(PartyRecorder::finish), endpoint))
-                                }
-                                Err(payload) => match payload.downcast::<PartyAbort>() {
-                                    Ok(abort) => Err(abort.0),
-                                    Err(other) => resume_unwind(other),
-                                },
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("party thread panicked"))
-                    .collect()
-            });
-
-        let mut outputs = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
-        let mut party_traces = Vec::with_capacity(n);
-        let mut mesh = Vec::with_capacity(n);
-        let mut errors = Vec::new();
-        for (party, result) in results.into_iter().enumerate() {
-            match result {
-                Ok((out, ps, pt, endpoint)) => {
-                    if metrics::is_enabled() {
-                        metrics::histogram_record("mpc.bytes_per_party", ps.total.bytes as f64);
-                        // Last-run-wins per-party gauges: the traffic each
-                        // party shipped, readable from a metrics snapshot
-                        // without parsing the trace.
-                        metrics::gauge_set(
-                            &format!("mpc.party.{party}.bytes_sent"),
-                            ps.total.bytes as f64,
-                        );
-                        metrics::gauge_set(
-                            &format!("mpc.party.{party}.messages_sent"),
-                            ps.total.messages as f64,
-                        );
-                    }
-                    outputs.push(out);
-                    stats.push(ps);
-                    party_traces.extend(pt);
-                    mesh.push(endpoint);
-                }
-                Err(e) => errors.push(e),
+        let config = &self.config;
+        runtime::run(config, "engine", endpoints, || {
+            let n = config.n_parties;
+            let lagrange_all = lagrange_at_zero::<F>(&(0..n).collect::<Vec<_>>());
+            if prof::is_active() {
+                // One field inversion per Lagrange denominator.
+                prof::record("engine;setup;field_inv", 1, n as u64);
             }
-        }
-        if !errors.is_empty() {
-            let err = select_error(errors);
-            if let Some(guard) = live_run {
-                guard.fail(live::RunError::new(
-                    err.kind(),
-                    Some(err.party()),
-                    err.round(),
-                ));
+            move |rt: PartyRuntime<F>| {
+                let id = rt.id;
+                let mut ctx = PartyCtx {
+                    id,
+                    n,
+                    t: config.threshold,
+                    rng: StdRng::seed_from_u64(
+                        config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1)),
+                    ),
+                    lagrange_all: lagrange_all.clone(),
+                    batching: config.batching,
+                    rt,
+                };
+                let out = program(&mut ctx);
+                (out, ctx.rt)
             }
-            return Err(err);
-        }
-        if let Some(guard) = live_run {
-            guard.finish();
-        }
-        let trace = (party_traces.len() == n)
-            .then(|| Trace::from_parties(self.config.latency, party_traces));
-        Ok((
-            MpcRun {
-                outputs,
-                stats: merge(stats, self.config.latency),
-                trace,
-            },
-            mesh,
-        ))
+        })
     }
-}
-
-/// One party's shares of a Beaver triple `(a, b, c)` with `c = a * b`.
-#[derive(Copy, Clone, Debug)]
-pub struct BeaverTriple<F: PrimeField> {
-    a: F,
-    b: F,
-    c: F,
 }
 
 /// One party's protocol context. A *share vector* is a plain `Vec<F>` whose
@@ -572,191 +379,16 @@ pub struct PartyCtx<F: PrimeField> {
     /// Sharing threshold.
     pub t: usize,
     rng: StdRng,
-    endpoint: Box<dyn Transport<F>>,
-    stats: PartyStats,
-    recorder: Option<PartyRecorder>,
     lagrange_all: Vec<F>,
     batching: Batching,
-    phase: String,
-    phase_started: Instant,
-    /// Causal stamping state (active only when tracing): run identifier
-    /// (the engine seed), the party's Lamport clock, and one sequence
-    /// counter per directed outgoing link.
-    run_id: u64,
-    lamport: u64,
-    link_seq: Vec<u64>,
+    rt: PartyRuntime<F>,
 }
 
 impl<F: PrimeField> PartyCtx<F> {
     /// Switch accounting to a named phase (e.g. `"dp_noise"`). Wall time and
     /// rounds accrued so far are attributed to the previous phase.
     pub fn set_phase(&mut self, name: &str) {
-        self.flush_phase();
-        self.phase = name.to_string();
-        if let Some(rec) = &mut self.recorder {
-            rec.set_phase(name);
-        }
-    }
-
-    fn flush_phase(&mut self) {
-        // One measurement feeds both the accounting and the trace, so a
-        // merged trace reproduces RunStats::simulated_time() exactly.
-        let elapsed = self.phase_started.elapsed();
-        self.stats.record_wall(&self.phase, elapsed);
-        if let Some(rec) = &mut self.recorder {
-            rec.flush_phase(elapsed);
-        }
-        self.phase_started = Instant::now();
-    }
-
-    fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Vec<Vec<F>> {
-        // Scoped round timer: when metrics are on, the wall time of every
-        // synchronous exchange lands in the `mpc.round_wall_ns` histogram
-        // (the per-round half of the virtual-clock model; the latency half
-        // is `rounds * latency` by construction).
-        let round_started = metrics::is_enabled().then(Instant::now);
-        // Live telemetry (collector installed): capture the round index
-        // before the exchange bumps it. Publishing happens after the
-        // exchange and rides entirely outside `PartyStats` and the trace,
-        // so accounting is bit-identical with telemetry on or off.
-        let live_round = live::is_active().then(|| (Instant::now(), self.endpoint.round()));
-        // Cost profiling (profiler installed): capture the round index
-        // before the exchange bumps it. Like live telemetry, recording
-        // happens after the exchange and rides entirely outside
-        // `PartyStats` and the trace.
-        let prof_round = prof::is_active().then(|| (Instant::now(), self.endpoint.round()));
-        // Causal stamping (traced runs only): every real outgoing payload
-        // carries this party's Lamport clock and a per-link sequence
-        // number; the header travels out-of-band of the byte accounting.
-        let stamping = self.recorder.is_some().then(|| {
-            let lamport_send = self.lamport + 1;
-            let round = self.endpoint.round();
-            let mut sends = Vec::new();
-            let headers: Vec<Option<TraceHeader>> = outgoing
-                .iter()
-                .enumerate()
-                .map(|(j, payload)| {
-                    if j == self.id || payload.is_empty() {
-                        return None;
-                    }
-                    let link_seq = self.link_seq[j];
-                    self.link_seq[j] += 1;
-                    sends.push(MsgStamp {
-                        peer: j,
-                        link_seq,
-                        lamport: lamport_send,
-                        round,
-                    });
-                    Some(TraceHeader {
-                        run_id: self.run_id,
-                        party: self.id as u32,
-                        round,
-                        link_seq,
-                        lamport: lamport_send,
-                    })
-                })
-                .collect();
-            (headers, sends, lamport_send, self.phase_started.elapsed())
-        });
-        let result = match &stamping {
-            Some((headers, ..)) => self
-                .endpoint
-                .exchange_stamped(outgoing, Some(headers.clone())),
-            None => self.endpoint.exchange(outgoing),
-        };
-        let outcome = match result {
-            Ok(outcome) => outcome,
-            // Unwind out of the SPMD program with the typed error; the
-            // engine's catch_unwind turns this back into Err(TransportError).
-            Err(e) => std::panic::panic_any(PartyAbort(e)),
-        };
-        let (messages, bytes) = (outcome.messages, outcome.bytes);
-        self.stats
-            .record_round(&self.phase, messages, bytes, outcome.elems);
-        if let Some((t0, round)) = prof_round {
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            prof::record_round(
-                &format!("engine;{};exchange", self.phase),
-                messages,
-                bytes,
-                wall_ns,
-            );
-            prof::record_round(
-                &format!("engine;{};round{round:04}", self.phase),
-                messages,
-                bytes,
-                wall_ns,
-            );
-        }
-        let events = self.endpoint.drain_events();
-        if let Some((t0, round)) = live_round {
-            // Injected fault events first: they carry the deterministic
-            // per-link costs the stall watchdog uses to attribute a slow
-            // round to the party that actually slept.
-            for e in &events {
-                if let Some(ev) = live::LiveEvent::fault(e.party, e.round, e.peer, &e.kind, e.value)
-                {
-                    live::publish(ev);
-                }
-            }
-            live::publish(live::LiveEvent::round(
-                self.id,
-                round,
-                &self.phase,
-                t0.elapsed(),
-                messages,
-                bytes,
-            ));
-        }
-        if let Some((_, sends, lamport_send, wall_send)) = stamping {
-            let wall_recv = self.phase_started.elapsed();
-            let recvs: Vec<MsgStamp> = outcome
-                .headers
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != self.id)
-                .filter_map(|(i, h)| {
-                    h.map(|h| MsgStamp {
-                        peer: i,
-                        link_seq: h.link_seq,
-                        lamport: h.lamport,
-                        round: h.round,
-                    })
-                })
-                .collect();
-            let max_recv = recvs.iter().map(|s| s.lamport).max().unwrap_or(0);
-            let lamport_recv = lamport_send.max(max_recv) + 1;
-            self.lamport = lamport_recv;
-            if let Some(rec) = &mut self.recorder {
-                rec.record_causal_round(
-                    wall_send,
-                    wall_recv,
-                    lamport_send,
-                    lamport_recv,
-                    sends,
-                    recvs,
-                );
-            }
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.record_round(messages, bytes);
-            for event in events {
-                rec.record_net_event(event);
-            }
-        }
-        if let Some(t0) = round_started {
-            metrics::histogram_record("mpc.round_wall_ns", t0.elapsed().as_nanos() as f64);
-            metrics::counter_add("mpc.party_rounds", 1);
-            metrics::counter_add("mpc.messages", messages);
-            metrics::counter_add("mpc.bytes", bytes);
-            metrics::histogram_record("mpc.messages_per_round", messages as f64);
-        }
-        outcome.incoming
-    }
-
-    /// The party's private randomness stream (share polynomials etc.).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+        self.rt.set_phase(name);
     }
 
     /// The worker-pool options of the round-batched mode, or `None` in the
@@ -802,10 +434,7 @@ impl<F: PrimeField> PartyCtx<F> {
     /// split across the worker pool when the batch is wide and the
     /// round-batched mode is on. The per-element accumulation order over
     /// `i` is unchanged by the chunking, so both paths are bit-identical.
-    fn recombine(&self, incoming: &[Vec<F>], len: usize, what: &str) -> Vec<F> {
-        for (i, inc) in incoming.iter().enumerate() {
-            assert_eq!(inc.len(), len, "{what}: party {i} sent wrong share count");
-        }
+    fn recombine(&self, incoming: &[Vec<F>], len: usize) -> Vec<F> {
         let mut out = vec![F::ZERO; len];
         // Capture only the weight table, not `self`: the endpoint behind
         // `self` is deliberately not shared with the worker threads.
@@ -855,10 +484,10 @@ impl<F: PrimeField> PartyCtx<F> {
                 self.id
             );
         }
-        let incoming = self.exchange(outgoing);
-        let mine = incoming[owner].clone();
-        assert_eq!(mine.len(), len, "owner sent wrong share count");
-        mine
+        let mut incoming = self
+            .rt
+            .exchange(outgoing, |i| if i == owner { len } else { 0 });
+        incoming.swap_remove(owner)
     }
 
     /// Every party simultaneously shares its own equal-length vector.
@@ -882,15 +511,7 @@ impl<F: PrimeField> PartyCtx<F> {
             self.id
         );
         let per_party = self.share_vector(my_values);
-        let incoming = self.exchange(per_party);
-        for (i, inc) in incoming.iter().enumerate() {
-            assert_eq!(
-                inc.len(),
-                expected[i],
-                "party {i} contributed a wrong-length vector"
-            );
-        }
-        incoming
+        self.rt.exchange(per_party, |i| expected[i])
     }
 
     // ----- linear operations (local, no communication) ---------------------
@@ -918,11 +539,6 @@ impl<F: PrimeField> PartyCtx<F> {
         a.iter().map(|&x| x + c).collect()
     }
 
-    /// Sum a share vector into a single share of the sum of the secrets.
-    pub fn sum(&self, a: &[F]) -> F {
-        a.iter().fold(F::ZERO, |acc, &x| acc + x)
-    }
-
     // ----- multiplication (one round per batch) -----------------------------
 
     /// Degree reduction (GRR): convert degree-`2t` shares into fresh
@@ -936,7 +552,7 @@ impl<F: PrimeField> PartyCtx<F> {
         }
         if prof::is_active() {
             prof::record(
-                &format!("engine;{};reduce_degree", self.phase),
+                &format!("engine;{};reduce_degree", self.rt.phase()),
                 1,
                 len as u64,
             );
@@ -944,16 +560,16 @@ impl<F: PrimeField> PartyCtx<F> {
             // degree-t polynomial at n points (t muls each, Horner) and
             // recombination applies n Lagrange weights per element.
             prof::record(
-                &format!("engine;{};reduce_degree;field_mul", self.phase),
+                &format!("engine;{};reduce_degree;field_mul", self.rt.phase()),
                 1,
                 (len * self.n * (self.t + 1)) as u64,
             );
         }
         // Re-share each local value with a fresh degree-t polynomial.
         let per_party = self.share_vector(d);
-        let incoming = self.exchange(per_party);
+        let incoming = self.rt.exchange(per_party, |_| len);
         // New share = sum_i lambda_i * (party i's re-share of its value).
-        self.recombine(&incoming, len, "degree reduction")
+        self.recombine(&incoming, len)
     }
 
     /// `[a] * [b]` element-wise: local products followed by one batched
@@ -994,62 +610,6 @@ impl<F: PrimeField> PartyCtx<F> {
         self.reduce_degree(&locals)
     }
 
-    // ----- Beaver-triple multiplication (preprocessing / online split) ------
-
-    /// Generate `count` Beaver triples `([a], [b], [c = a*b])` in a
-    /// preprocessing phase (two rounds: one simultaneous random-sharing
-    /// exchange, one GRR reduction). The online multiplication then costs a
-    /// single *opening* round — the classic preprocessing/online trade-off,
-    /// kept as an alternative to direct GRR multiplication.
-    pub fn generate_triples(&mut self, count: usize) -> Vec<BeaverTriple<F>> {
-        // Every party contributes random summands for a and b; the sums are
-        // uniformly random and unknown to any coalition of <= t parties.
-        let my_randomness: Vec<F> = (0..2 * count).map(|_| F::random(&mut self.rng)).collect();
-        let contributions = self.share_all(&my_randomness);
-        let mut a = vec![F::ZERO; count];
-        let mut b = vec![F::ZERO; count];
-        for contrib in contributions {
-            for k in 0..count {
-                a[k] += contrib[k];
-                b[k] += contrib[count + k];
-            }
-        }
-        let c = self.mul(&a, &b);
-        a.into_iter()
-            .zip(b)
-            .zip(c)
-            .map(|((a, b), c)| BeaverTriple { a, b, c })
-            .collect()
-    }
-
-    /// Multiply `[x] * [y]` element-wise using pre-generated triples: open
-    /// `d = x - a` and `e = y - b` (one batched round) and assemble
-    /// `[z] = [c] + d[b] + e[a] + de`.
-    pub fn mul_beaver(&mut self, x: &[F], y: &[F], triples: &[BeaverTriple<F>]) -> Vec<F> {
-        assert_eq!(x.len(), y.len(), "mul_beaver: length mismatch");
-        assert!(
-            triples.len() >= x.len(),
-            "mul_beaver: need {} triples, have {}",
-            x.len(),
-            triples.len()
-        );
-        let mut masked = Vec::with_capacity(2 * x.len());
-        for ((&xi, &yi), t) in x.iter().zip(y).zip(triples) {
-            masked.push(xi - t.a);
-            masked.push(yi - t.b);
-        }
-        let opened = self.open(&masked);
-        x.iter()
-            .zip(triples)
-            .enumerate()
-            .map(|(k, (_, t))| {
-                let d = opened[2 * k];
-                let e = opened[2 * k + 1];
-                t.c + t.b * d + t.a * e + d * e
-            })
-            .collect()
-    }
-
     // ----- opening ----------------------------------------------------------
 
     /// Open shared secrets to all parties: broadcast shares, reconstruct
@@ -1058,13 +618,14 @@ impl<F: PrimeField> PartyCtx<F> {
         if prof::is_active() {
             // Reconstruction applies n Lagrange weights per opened element.
             prof::record(
-                &format!("engine;{};open;field_mul", self.phase),
+                &format!("engine;{};open;field_mul", self.rt.phase()),
                 1,
                 (shares.len() * self.n) as u64,
             );
         }
-        let incoming = self.exchange(vec![shares.to_vec(); self.n]);
-        self.recombine(&incoming, shares.len(), "open")
+        let len = shares.len();
+        let incoming = self.rt.exchange(vec![shares.to_vec(); self.n], |_| len);
+        self.recombine(&incoming, len)
     }
 }
 
@@ -1075,6 +636,12 @@ mod tests {
 
     fn engine(n: usize) -> MpcEngine {
         MpcEngine::new(MpcConfig::semi_honest(n).with_latency(Duration::ZERO))
+    }
+
+    /// Share `owner`'s input `values` (one round).
+    fn input(ctx: &mut PartyCtx<M61>, owner: usize, values: &[M61]) -> Vec<M61> {
+        let mine = (ctx.id == owner).then_some(values);
+        ctx.share_input(owner, mine, values.len())
     }
 
     #[test]
@@ -1094,16 +661,8 @@ mod tests {
     #[test]
     fn linear_ops_are_free() {
         let run = engine(3).run::<M61, _, _>(|ctx| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(10)]).as_deref(),
-                1,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1).then(|| vec![M61::from_u64(4)]).as_deref(),
-                1,
-            );
+            let a = input(ctx, 0, &[M61::from_u64(10)]);
+            let b = input(ctx, 1, &[M61::from_u64(4)]);
             let c = ctx.add(&a, &b);
             let d = ctx.scale_public(&c, M61::from_u64(3));
             let e = ctx.add_public(&d, M61::from_u64(1));
@@ -1119,20 +678,8 @@ mod tests {
     fn multiplication_with_degree_reduction() {
         for n in [3, 4, 5, 7] {
             let run = engine(n).run::<M61, _, _>(|ctx| {
-                let a = ctx.share_input(
-                    0,
-                    (ctx.id == 0)
-                        .then(|| vec![M61::from_i128(-7), M61::from_u64(3)])
-                        .as_deref(),
-                    2,
-                );
-                let b = ctx.share_input(
-                    1,
-                    (ctx.id == 1)
-                        .then(|| vec![M61::from_u64(6), M61::from_i128(-9)])
-                        .as_deref(),
-                    2,
-                );
+                let a = input(ctx, 0, &[M61::from_i128(-7), M61::from_u64(3)]);
+                let b = input(ctx, 1, &[M61::from_u64(6), M61::from_i128(-9)]);
                 let p = ctx.mul(&a, &b);
                 ctx.open(&p)
             });
@@ -1146,20 +693,8 @@ mod tests {
     #[test]
     fn inner_product_single_round() {
         let run = engine(4).run::<M61, _, _>(|ctx| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| (1..=100u64).map(M61::from_u64).collect::<Vec<_>>())
-                    .as_deref(),
-                100,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1)
-                    .then(|| vec![M61::from_u64(2); 100])
-                    .as_deref(),
-                100,
-            );
+            let a = input(ctx, 0, &(1..=100u64).map(M61::from_u64).collect::<Vec<_>>());
+            let b = input(ctx, 1, &[M61::from_u64(2); 100]);
             let ip = ctx.inner_product(&a, &b);
             ctx.open(&[ip])
         });
@@ -1175,11 +710,7 @@ mod tests {
     fn repeated_multiplication_chains() {
         // x^4 via two squarings on shares.
         let run = engine(5).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                2,
-                (ctx.id == 2).then(|| vec![M61::from_u64(3)]).as_deref(),
-                1,
-            );
+            let x = input(ctx, 2, &[M61::from_u64(3)]);
             let x2 = ctx.mul(&x, &x);
             let x4 = ctx.mul(&x2, &x2);
             ctx.open(&x4)
@@ -1215,20 +746,8 @@ mod tests {
     #[test]
     fn batched_inner_products() {
         let run = engine(3).run::<M61, _, _>(|ctx| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| vec![M61::from_u64(1), M61::from_u64(2)])
-                    .as_deref(),
-                2,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1)
-                    .then(|| vec![M61::from_u64(10), M61::from_u64(20)])
-                    .as_deref(),
-                2,
-            );
+            let a = input(ctx, 0, &[M61::from_u64(1), M61::from_u64(2)]);
+            let b = input(ctx, 1, &[M61::from_u64(10), M61::from_u64(20)]);
             let ips = ctx.inner_products(&[(&a[..], &b[..]), (&a[..1], &a[..1])]);
             ctx.open(&ips)
         });
@@ -1241,11 +760,7 @@ mod tests {
     #[test]
     fn outputs_consistent_across_parties() {
         let run = engine(6).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(9)]).as_deref(),
-                1,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(9)]);
             let y = ctx.mul(&x, &x);
             ctx.open(&y)
         });
@@ -1256,94 +771,10 @@ mod tests {
     }
 
     #[test]
-    fn beaver_triples_are_valid() {
-        let run = engine(4).run::<M61, _, _>(|ctx| {
-            let triples = ctx.generate_triples(8);
-            // Open each (a, b, c) and check c = a*b.
-            let flat: Vec<M61> = triples.iter().flat_map(|t| [t.a, t.b, t.c]).collect();
-            ctx.open(&flat)
-        });
-        for out in run.outputs {
-            for chunk in out.chunks(3) {
-                assert_eq!(chunk[0] * chunk[1], chunk[2]);
-            }
-        }
-    }
-
-    #[test]
-    fn beaver_multiplication_matches_grr() {
-        let run = engine(5).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| vec![M61::from_i128(-7), M61::from_u64(11)])
-                    .as_deref(),
-                2,
-            );
-            let y = ctx.share_input(
-                1,
-                (ctx.id == 1)
-                    .then(|| vec![M61::from_u64(6), M61::from_i128(-2)])
-                    .as_deref(),
-                2,
-            );
-            let triples = ctx.generate_triples(2);
-            let z_beaver = ctx.mul_beaver(&x, &y, &triples);
-            let z_grr = ctx.mul(&x, &y);
-            let mut both = z_beaver;
-            both.extend(z_grr);
-            ctx.open(&both)
-        });
-        for out in run.outputs {
-            assert_eq!(out[0].to_centered_i128(), -42);
-            assert_eq!(out[1].to_centered_i128(), -22);
-            assert_eq!(out[0], out[2]);
-            assert_eq!(out[1], out[3]);
-        }
-    }
-
-    #[test]
-    fn beaver_online_is_one_round() {
-        // After preprocessing, a batch multiply costs exactly one round.
-        let eng = engine(3);
-        let run = eng.run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(3); 10]).as_deref(),
-                10,
-            );
-            let y = ctx.share_input(
-                1,
-                (ctx.id == 1).then(|| vec![M61::from_u64(4); 10]).as_deref(),
-                10,
-            );
-            let triples = ctx.generate_triples(10);
-            ctx.set_phase("online");
-            let z = ctx.mul_beaver(&x, &y, &triples);
-            ctx.open(&z)
-        });
-        assert_eq!(run.stats.phases["online"].rounds, 2); // mask-open + final open
-        for out in run.outputs {
-            assert!(out.iter().all(|v| v.to_canonical() == 12));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "party thread panicked")]
-    fn beaver_insufficient_triples_panics() {
-        engine(3).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(0, (ctx.id == 0).then(|| vec![M61::ONE; 3]).as_deref(), 3);
-            let triples = ctx.generate_triples(1);
-            let x2 = x.clone();
-            ctx.mul_beaver(&x, &x2, &triples)
-        });
-    }
-
-    #[test]
     fn stats_track_phases() {
         let run = engine(3).run::<M61, _, _>(|ctx| {
             ctx.set_phase("input");
-            let x = ctx.share_input(0, (ctx.id == 0).then(|| vec![M61::ONE]).as_deref(), 1);
+            let x = input(ctx, 0, &[M61::ONE]);
             ctx.set_phase("dp_noise");
             let z = ctx.share_all(&[M61::from_u64(ctx.id as u64)]);
             let mut acc = x;
@@ -1367,7 +798,7 @@ mod tests {
     fn latency_accounting() {
         let cfg = MpcConfig::semi_honest(3).with_latency(Duration::from_millis(100));
         let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(0, (ctx.id == 0).then(|| vec![M61::ONE]).as_deref(), 1);
+            let x = input(ctx, 0, &[M61::ONE]);
             ctx.open(&x)
         });
         // 2 rounds * 100 ms <= simulated <= that plus some wall time.
@@ -1384,7 +815,6 @@ mod tests {
             latency: Duration::ZERO,
             seed: 0,
             trace: false,
-            trace_event_cap: None,
             backend: NetBackend::InProcess,
             faults: None,
             live: None,
@@ -1396,20 +826,8 @@ mod tests {
     #[test]
     fn tcp_backend_matches_in_process_exactly() {
         let program = |ctx: &mut PartyCtx<M61>| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| vec![M61::from_i128(-3), M61::from_u64(12)])
-                    .as_deref(),
-                2,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1)
-                    .then(|| vec![M61::from_u64(5), M61::from_i128(-2)])
-                    .as_deref(),
-                2,
-            );
+            let a = input(ctx, 0, &[M61::from_i128(-3), M61::from_u64(12)]);
+            let b = input(ctx, 1, &[M61::from_u64(5), M61::from_i128(-2)]);
             let p = ctx.mul(&a, &b);
             ctx.open(&p)
         };
@@ -1425,16 +843,8 @@ mod tests {
     #[test]
     fn try_run_on_reuses_a_mesh_across_runs_and_matches_fresh_meshes() {
         let program = |ctx: &mut PartyCtx<M61>| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(6)]).as_deref(),
-                1,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1).then(|| vec![M61::from_u64(7)]).as_deref(),
-                1,
-            );
+            let a = input(ctx, 0, &[M61::from_u64(6)]);
+            let b = input(ctx, 1, &[M61::from_u64(7)]);
             let p = ctx.mul(&a, &b);
             ctx.open(&p)[0]
         };
@@ -1461,7 +871,7 @@ mod tests {
             .with_faults(Some(sqm_net::FaultSpec::seeded(1).with_crash(2, 1)));
         let err = MpcEngine::new(cfg)
             .try_run::<M61, _, _>(|ctx| {
-                let x = ctx.share_input(0, (ctx.id == 0).then(|| vec![M61::ONE]).as_deref(), 1);
+                let x = input(ctx, 0, &[M61::ONE]);
                 let y = ctx.mul(&x, &x);
                 ctx.open(&y)
             })
@@ -1478,7 +888,7 @@ mod tests {
             .with_latency(Duration::ZERO)
             .with_faults(Some(sqm_net::FaultSpec::seeded(2).with_crash(0, 0)));
         MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(1, (ctx.id == 1).then(|| vec![M61::ONE]).as_deref(), 1);
+            let x = input(ctx, 1, &[M61::ONE]);
             ctx.open(&x)
         });
     }
@@ -1489,11 +899,7 @@ mod tests {
         // must produce exactly the fault-free outputs, and two runs with the
         // same fault seed must behave identically.
         let program = |ctx: &mut PartyCtx<M61>| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(9); 4]).as_deref(),
-                4,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(9); 4]);
             let y = ctx.mul(&x, &x);
             ctx.open(&y)
         };
@@ -1526,11 +932,7 @@ mod tests {
             .with_trace(true);
         let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
             ctx.set_phase("input");
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(5); 3]).as_deref(),
-                3,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(5); 3]);
             ctx.set_phase("mul");
             let y = ctx.mul(&x, &x);
             ctx.set_phase("open");
@@ -1563,39 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_trace_still_reproduces_simulated_time_exactly() {
-        // A cap of 2 detail events per party drops most spans/rounds, but
-        // the per-phase totals keep the merged summary exact.
-        let cfg = MpcConfig::semi_honest(4)
-            .with_latency(Duration::from_millis(50))
-            .with_trace(true)
-            .with_trace_event_cap(2);
-        let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            ctx.set_phase("input");
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(5); 3]).as_deref(),
-                3,
-            );
-            ctx.set_phase("mul");
-            let y = ctx.mul(&x, &x);
-            let y = ctx.mul(&y, &x);
-            ctx.set_phase("open");
-            ctx.open(&y)
-        });
-        let trace = run.trace.expect("trace requested");
-        assert!(trace.dropped_events() > 0, "cap of 2 must drop detail");
-        let summary = trace.summary();
-        assert_eq!(summary.total_simulated(), run.stats.simulated_time());
-        assert_eq!(summary.total.rounds, run.stats.total.rounds);
-        assert_eq!(summary.total.messages, run.stats.total.messages);
-        assert_eq!(summary.total.bytes, run.stats.total.bytes);
-        for pt in &trace.parties {
-            assert!(pt.spans.len() + pt.rounds.len() + pt.net_events.len() <= 2);
-        }
-    }
-
-    #[test]
     fn causal_critical_path_matches_simulated_time_exactly() {
         // The message DAG reconstructed from the causal stamps must yield a
         // critical path whose total is bit-exact with the virtual clock.
@@ -1604,11 +973,7 @@ mod tests {
             .with_trace(true);
         let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
             ctx.set_phase("input");
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(5); 3]).as_deref(),
-                3,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(5); 3]);
             ctx.set_phase("mul");
             let y = ctx.mul(&x, &x);
             ctx.set_phase("open");
@@ -1640,11 +1005,7 @@ mod tests {
             .with_trace(true)
             .with_backend(NetBackend::tcp());
         let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(7)]).as_deref(),
-                1,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(7)]);
             let y = ctx.mul(&x, &x);
             ctx.open(&y)
         });
@@ -1661,11 +1022,7 @@ mod tests {
             .with_latency(Duration::ZERO)
             .with_trace(true);
         MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(5); 3]).as_deref(),
-                3,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(5); 3]);
             let y = ctx.mul(&x, &x);
             let y = ctx.mul(&y, &x);
             ctx.open(&y)
@@ -1687,11 +1044,7 @@ mod tests {
                     .with_retransmit(Duration::from_micros(100), 32),
             ));
         let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(9); 4]).as_deref(),
-                4,
-            );
+            let x = input(ctx, 0, &[M61::from_u64(9); 4]);
             let y = ctx.mul(&x, &x);
             ctx.open(&y)
         });
@@ -1766,7 +1119,7 @@ mod tests {
     #[test]
     fn trace_absent_by_default() {
         let run = engine(3).run::<M61, _, _>(|ctx| {
-            let x = ctx.share_input(0, (ctx.id == 0).then(|| vec![M61::ONE]).as_deref(), 1);
+            let x = input(ctx, 0, &[M61::ONE]);
             ctx.open(&x)
         });
         assert!(run.trace.is_none());
@@ -1779,16 +1132,12 @@ mod tests {
         // element counts; `messages` collapses to the element count.
         let program = |ctx: &mut PartyCtx<M61>| {
             ctx.set_phase("input");
-            let a = ctx.share_input(
+            let a = input(
+                ctx,
                 0,
-                (ctx.id == 0)
-                    .then(|| {
-                        (0..300)
-                            .map(|k| M61::from_i128(k - 150))
-                            .collect::<Vec<_>>()
-                    })
-                    .as_deref(),
-                300,
+                &(0..300)
+                    .map(|k| M61::from_i128(k - 150))
+                    .collect::<Vec<_>>(),
             );
             ctx.set_phase("mul");
             let sq = ctx.mul(&a, &a);
@@ -1848,13 +1197,7 @@ mod tests {
         // Any worker count / parallelism threshold must produce the exact
         // same run: the RNG draws are serialized before the pool fans out.
         let program = |ctx: &mut PartyCtx<M61>| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| (0..777u64).map(M61::from_u64).collect::<Vec<_>>())
-                    .as_deref(),
-                777,
-            );
+            let a = input(ctx, 0, &(0..777u64).map(M61::from_u64).collect::<Vec<_>>());
             let sq = ctx.mul(&a, &a);
             ctx.open(&sq)
         };
@@ -1893,16 +1236,8 @@ mod tests {
         // there is no secrecy between the two parties — see the caveat on
         // MpcConfig::semi_honest), but the protocol must still be correct.
         let run = engine(2).run::<M61, _, _>(|ctx| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(6)]).as_deref(),
-                1,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1).then(|| vec![M61::from_u64(7)]).as_deref(),
-                1,
-            );
+            let a = input(ctx, 0, &[M61::from_u64(6)]);
+            let b = input(ctx, 1, &[M61::from_u64(7)]);
             let p = ctx.mul(&a, &b);
             ctx.open(&p)
         });

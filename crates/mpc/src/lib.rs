@@ -6,16 +6,16 @@
 //! result. This crate provides that black box:
 //!
 //! * [`shamir`] — Shamir secret sharing and Lagrange reconstruction.
-//! * [`transport`] — party-to-party networking, re-exported from `sqm-net`:
-//!   a [`transport::Transport`] trait with two backends (the original
-//!   full-mesh in-process channel mesh and a loopback-TCP backend) plus a
-//!   deterministic fault injector, all with per-round, per-message and
-//!   per-byte accounting. Backend selection lives on [`MpcConfig`].
-//! * [`engine`] — the SPMD party runtime: spawn `n` party threads, run the
-//!   same protocol program in each, collect outputs and [`stats::RunStats`].
-//!   Transport failures surface as typed [`TransportError`]s from
-//!   [`MpcEngine::try_run`] (or a diagnostic panic from [`MpcEngine::run`]).
-//!   Multiplication uses GRR degree reduction (`t < n/2`); vector operations
+//! * `runtime` — the one party runtime both engines run on: spawn `n` party
+//!   threads over a [`net`] mesh (in-process channels or loopback TCP, with
+//!   optional fault injection; backend selection lives on [`MpcConfig`]),
+//!   run the same protocol program in each, and collect outputs and
+//!   [`stats::RunStats`]. Its single instrumented exchange feeds the
+//!   accounting, trace, metrics, live telemetry and cost profiler. Transport
+//!   failures and wrong-length peer payloads surface as typed
+//!   [`TransportError`]s from `try_run` (or a diagnostic panic from `run`).
+//! * [`engine`] — the BGW engine and [`MpcConfig`]. Multiplication uses GRR
+//!   degree reduction (`t < n/2`); vector operations
 //!   (element-wise products, inner products) are batched into single rounds,
 //!   which is what makes covariance computation `O(n^2)` *communication*
 //!   instead of `O(m n^2)`.
@@ -31,14 +31,13 @@
 pub mod additive;
 pub mod circuit;
 pub mod engine;
+mod runtime;
 pub mod shamir;
 pub mod stats;
-pub mod transport;
-pub mod wire;
 
 pub use sqm_net as net;
 
-pub use additive::{AdditiveCtx, AdditiveEngine, AdditiveRun};
+pub use additive::{AdditiveCtx, AdditiveEngine};
 pub use engine::{BatchOptions, Batching, MpcConfig, MpcEngine, MpcRun, PartyCtx};
 pub use shamir::{reconstruct, share_secret, share_secrets_batch, ShamirShare};
 pub use sqm_net::fault::{CrashPoint, FaultSpec};

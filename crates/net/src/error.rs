@@ -62,6 +62,15 @@ pub enum WireError {
         /// Canonical element width in bytes.
         width: usize,
     },
+    /// A well-formed payload carries a different number of field elements
+    /// than the protocol step expects from its sender (checked by the MPC
+    /// party runtime, which knows each round's public lengths).
+    UnexpectedLength {
+        /// Elements the protocol step expects from this sender.
+        expected: usize,
+        /// Elements the payload actually carried.
+        got: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -98,6 +107,9 @@ impl fmt::Display for WireError {
                 "frame announces {declared} elements ({} bytes at width {width}) but carries {payload_bytes} payload bytes",
                 declared * width
             ),
+            WireError::UnexpectedLength { expected, got } => {
+                write!(f, "payload carries {got} elements, expected {expected}")
+            }
         }
     }
 }

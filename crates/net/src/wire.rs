@@ -246,9 +246,58 @@ impl<F: PrimeField> Frame<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqm_field::{M127, M61};
+
+    // Round-trips for both fields, explicitly seeding the canonical
+    // boundary values 0 and p-1 into every generated vector.
+    proptest! {
+        #[test]
+        fn roundtrip_m61_with_boundaries(raw in proptest::collection::vec(any::<u64>(), 0..64)) {
+            let mut vals: Vec<M61> = raw.into_iter().map(|v| M61::from_u128(v as u128 % M61::modulus())).collect();
+            vals.push(M61::from_u128(0));
+            vals.push(M61::from_u128(M61::modulus() - 1));
+            let bytes = encode(&vals);
+            prop_assert_eq!(bytes.len() as u64, encoded_len::<M61>(vals.len()));
+            prop_assert_eq!(decode::<M61>(bytes).expect("canonical round-trip"), vals);
+        }
+
+        #[test]
+        fn roundtrip_m127_with_boundaries(raw in proptest::collection::vec(any::<u64>(), 0..64)) {
+            let m = M127::modulus();
+            // Spread 64-bit raws across the 127-bit range.
+            let mut vals: Vec<M127> = raw
+                .into_iter()
+                .map(|v| M127::from_u128((v as u128).wrapping_mul(0x1_0000_0001_0000_0001) % m))
+                .collect();
+            vals.push(M127::from_u128(0));
+            vals.push(M127::from_u128(m - 1));
+            let bytes = encode(&vals);
+            prop_assert_eq!(bytes.len() as u64, encoded_len::<M127>(vals.len()));
+            prop_assert_eq!(decode::<M127>(bytes).expect("canonical round-trip"), vals);
+        }
+
+        #[test]
+        fn ragged_buffers_always_rejected(len in 1usize..64) {
+            prop_assume!(len % M61::byte_width() != 0);
+            prop_assert_eq!(
+                decode::<M61>(Bytes::from(vec![0u8; len])).unwrap_err(),
+                WireError::RaggedBuffer { len, width: M61::byte_width() }
+            );
+        }
+    }
+
+    #[test]
+    fn non_canonical_is_an_error_not_a_panic() {
+        // p itself is the smallest non-canonical value.
+        let buf = Bytes::from((M61::modulus() as u64).to_le_bytes().to_vec());
+        assert!(matches!(
+            decode::<M61>(buf),
+            Err(WireError::NonCanonical { .. })
+        ));
+    }
 
     #[test]
     fn roundtrip_m61() {

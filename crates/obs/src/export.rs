@@ -320,36 +320,14 @@ fn fmt_bytes(b: u64) -> String {
 /// Render a run as a single self-contained HTML page: a per-party phase
 /// waterfall on the simulated clock (inline SVG), the per-phase summary
 /// table, a per-party message/byte table, and — when provided — the
-/// privacy-ledger and metrics-registry summaries. No external scripts,
-/// stylesheets, fonts, or network access of any kind: the file renders
-/// offline in any browser.
+/// privacy-ledger and metrics-registry summaries, a "Serving SLO" section
+/// (the serving layer's time-bucketed request history ring and
+/// slow-request recorder totals, from `crate::span::SpanCollector::snapshot`)
+/// and a "Cost profile" section (the deterministic flamegraph and
+/// batching-opportunity summary from a [`crate::prof::ProfSnapshot`]). No
+/// external scripts, stylesheets, fonts, or network access of any kind: the
+/// file renders offline in any browser.
 pub fn html_report(
-    title: &str,
-    trace: &Trace,
-    ledger: Option<&LedgerReport>,
-    metrics: Option<&MetricsSnapshot>,
-) -> String {
-    html_report_with_slo(title, trace, ledger, metrics, None)
-}
-
-/// [`html_report`] plus an optional "Serving SLO" section: the serving
-/// layer's time-bucketed request history ring (requests, releases,
-/// refusals, failures, mean/max latency per bucket) and slow-request
-/// recorder totals, from `crate::span::SpanCollector::snapshot`.
-pub fn html_report_with_slo(
-    title: &str,
-    trace: &Trace,
-    ledger: Option<&LedgerReport>,
-    metrics: Option<&MetricsSnapshot>,
-    slo: Option<&crate::span::SloSnapshot>,
-) -> String {
-    html_report_full(title, trace, ledger, metrics, slo, None)
-}
-
-/// [`html_report_with_slo`] plus an optional "Cost profile" section: the
-/// deterministic flamegraph and batching-opportunity summary from an
-/// [`crate::prof::ProfSnapshot`].
-pub fn html_report_full(
     title: &str,
     trace: &Trace,
     ledger: Option<&LedgerReport>,
@@ -747,17 +725,6 @@ pub fn flamegraph_html(title: &str, prof: &crate::prof::ProfSnapshot) -> String 
     out
 }
 
-/// Write [`html_report`] to a writer.
-pub fn write_html_report<W: Write>(
-    title: &str,
-    trace: &Trace,
-    ledger: Option<&LedgerReport>,
-    metrics: Option<&MetricsSnapshot>,
-    w: &mut W,
-) -> io::Result<()> {
-    w.write_all(html_report(title, trace, ledger, metrics).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,13 +915,13 @@ mod tests {
 
     #[test]
     fn html_report_gains_critical_path_section_with_causal_stamps() {
-        let html = html_report("causal run", &causal_sample_trace(), None, None);
+        let html = html_report("causal run", &causal_sample_trace(), None, None, None, None);
         assert!(html.contains("Critical path"));
         assert!(html.contains("idle (waiting)"));
         // Still self-contained.
         assert!(!html.contains("<script") && !html.contains("<link"));
         // And absent without stamps.
-        let plain = html_report("plain run", &sample_trace(), None, None);
+        let plain = html_report("plain run", &sample_trace(), None, None, None, None);
         assert!(!plain.contains("Critical path"));
     }
 
@@ -969,7 +936,7 @@ mod tests {
     #[test]
     fn html_report_is_self_contained_and_renders_all_sections() {
         let trace = sample_trace();
-        let html = html_report("covariance run", &trace, None, None);
+        let html = html_report("covariance run", &trace, None, None, None, None);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<svg") && html.contains("</svg>"));
         // Waterfall: one rect per span (2 parties * 2 spans).
@@ -998,7 +965,14 @@ mod tests {
         let report = ledger.report();
         let mut snap = crate::metrics::MetricsSnapshot::default();
         snap.counters.insert("mpc.rounds".to_string(), 7);
-        let html = html_report("with ledger", &sample_trace(), Some(&report), Some(&snap));
+        let html = html_report(
+            "with ledger",
+            &sample_trace(),
+            Some(&report),
+            Some(&snap),
+            None,
+            None,
+        );
         assert!(html.contains("Privacy ledger"));
         assert!(html.contains("covariance"));
         assert!(html.contains("Counters"));
@@ -1038,14 +1012,16 @@ mod tests {
             slow_dropped: 0,
             threshold_ns: 1_000_000,
         };
-        let html = html_report_with_slo("slo run", &sample_trace(), None, None, Some(&slo));
+        let html = html_report("slo run", &sample_trace(), None, None, Some(&slo), None);
         assert!(html.contains("Serving SLO"));
         assert!(html.contains("12 request(s)"));
         assert!(html.contains("3 slow request(s) retained"));
         // Bucket offsets are relative to the first occupied bucket.
         assert!(html.contains("+0ns") || html.contains("+0.0"));
         // Plain html_report stays SLO-free.
-        assert!(!html_report("plain", &sample_trace(), None, None).contains("Serving SLO"));
+        assert!(
+            !html_report("plain", &sample_trace(), None, None, None, None).contains("Serving SLO")
+        );
     }
 
     #[test]
@@ -1066,7 +1042,7 @@ mod tests {
             nodes,
             batching: Some(BatchingReport::from_level_widths(vec![16], 4)),
         };
-        let html = html_report_full("prof run", &sample_trace(), None, None, None, Some(&snap));
+        let html = html_report("prof run", &sample_trace(), None, None, None, Some(&snap));
         assert!(html.contains("Cost profile (flamegraph)"));
         assert!(html.contains("x16.0 reduction"));
         assert!(!html.contains("<script") && !html.contains("http://"));
@@ -1075,7 +1051,9 @@ mod tests {
         assert!(standalone.contains("<svg"));
         assert!(!standalone.contains("<script") && !standalone.contains("http://"));
         // Plain reports stay profile-free.
-        assert!(!html_report("plain", &sample_trace(), None, None).contains("Cost profile"));
+        assert!(
+            !html_report("plain", &sample_trace(), None, None, None, None).contains("Cost profile")
+        );
     }
 
     #[test]
@@ -1107,7 +1085,7 @@ mod tests {
         r.record_round(1, 8);
         r.flush_phase(Duration::from_millis(1));
         let trace = Trace::from_parties(latency, vec![r.finish()]);
-        let html = html_report("x & <y>", &trace, None, None);
+        let html = html_report("x & <y>", &trace, None, None, None, None);
         assert!(!html.contains("<script>alert"));
         assert!(html.contains("&lt;script&gt;"));
     }

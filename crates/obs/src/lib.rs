@@ -84,8 +84,7 @@ pub mod trace;
 pub use causal::{CriticalPath, FlowEdge, MessageDag, PartyBreakdown, PathSegment};
 pub use export::{
     atomic_write, atomic_write_str, chrome_trace_json, flamegraph_html, html_report,
-    html_report_full, html_report_with_slo, write_chrome_trace, write_html_report, write_jsonl,
-    write_ledger_jsonl,
+    write_chrome_trace, write_jsonl, write_ledger_jsonl,
 };
 pub use ledger::{LedgerEntry, LedgerReport, PrivacyLedger};
 pub use live::{LiveConfig, LiveEvent, LiveSnapshot, StallEvent};

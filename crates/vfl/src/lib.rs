@@ -74,10 +74,6 @@ pub struct VflConfig {
     pub seed: u64,
     /// Record structured MPC traces (see `sqm_obs::trace`). Off by default.
     pub trace: bool,
-    /// Cap on per-party trace *detail* records (spans/rounds/net events);
-    /// `None` uses `sqm_obs::trace::DEFAULT_EVENT_CAP`. Summaries stay
-    /// exact regardless — see `PartyRecorder::with_event_cap`.
-    pub trace_event_cap: Option<usize>,
     /// Party-to-party transport backend (in-process channels by default;
     /// `NetBackend::Tcp` runs the same protocols over loopback sockets).
     pub backend: NetBackend,
@@ -108,7 +104,6 @@ impl VflConfig {
             latency: Duration::from_millis(100),
             seed: 7,
             trace: false,
-            trace_event_cap: None,
             backend: NetBackend::InProcess,
             faults: None,
             live: None,
@@ -136,12 +131,6 @@ impl VflConfig {
     /// Turn structured trace recording on or off.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Bound the number of per-party trace detail records.
-    pub fn with_trace_event_cap(mut self, cap: usize) -> Self {
-        self.trace_event_cap = Some(cap);
         self
     }
 
@@ -179,7 +168,7 @@ impl VflConfig {
 
     /// The `MpcConfig` every VFL protocol derives from this configuration.
     pub fn mpc_config(&self) -> MpcConfig {
-        let config = MpcConfig::semi_honest(self.n_clients)
+        MpcConfig::semi_honest(self.n_clients)
             .with_latency(self.latency)
             .with_seed(self.seed)
             .with_trace(self.trace)
@@ -187,10 +176,6 @@ impl VflConfig {
             .with_faults(self.faults.clone())
             .with_live(self.live.clone())
             .with_prof(self.prof.clone())
-            .with_batching(self.batching);
-        match self.trace_event_cap {
-            Some(cap) => config.with_trace_event_cap(cap),
-            None => config,
-        }
+            .with_batching(self.batching)
     }
 }
